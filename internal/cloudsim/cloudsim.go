@@ -15,7 +15,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/fleet"
 	"repro/internal/sched"
 )
 
@@ -62,12 +61,6 @@ type Config struct {
 	LayerSeconds        float64
 	ShotOverheadSeconds float64
 	CompileSeconds      float64
-	// FleetPolicy optionally breaks RunFleet's idle-backend ties with
-	// an internal/fleet allocation policy (the same scoring the live
-	// service dispatches with), so offline simulation and qucloudd
-	// agree on placement. nil keeps the pure earliest-free rule with
-	// the deterministic name tie-break.
-	FleetPolicy fleet.Policy
 }
 
 // DefaultConfig returns a QuCloud-policy configuration with hardware-

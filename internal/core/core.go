@@ -445,6 +445,15 @@ func (c *Compiler) Simulate(r *Result, trials int, seed int64, noise sim.NoiseMo
 // remaining Monte-Carlo budget. An uncancelled context yields results
 // bit-identical to Simulate.
 func (c *Compiler) SimulateContext(ctx context.Context, r *Result, trials int, seed int64, noise sim.NoiseModel) ([]float64, error) {
+	return c.simulate(ctx, sim.SimulateScheduleCtx, r, trials, seed, noise)
+}
+
+// simulateFunc is the signature shared by the two simulation engines.
+type simulateFunc func(context.Context, *arch.Device, *router.Schedule, []*circuit.Circuit, int, int64, sim.NoiseModel, int) (*sim.Outcome, error)
+
+// simulate runs r on one engine: each program alone under its own seed
+// offset for Separate, the joint schedule once otherwise.
+func (c *Compiler) simulate(ctx context.Context, run simulateFunc, r *Result, trials int, seed int64, noise sim.NoiseModel) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -454,7 +463,7 @@ func (c *Compiler) SimulateContext(ctx context.Context, r *Result, trials int, s
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out, err := sim.SimulateScheduleCtx(ctx, c.Device, r.Schedules[i], []*circuit.Circuit{p}, trials, seed+int64(i), noise, c.Workers)
+			out, err := run(ctx, c.Device, r.Schedules[i], []*circuit.Circuit{p}, trials, seed+int64(i), noise, c.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -462,7 +471,7 @@ func (c *Compiler) SimulateContext(ctx context.Context, r *Result, trials int, s
 		}
 		return psts, nil
 	}
-	out, err := sim.SimulateScheduleCtx(ctx, c.Device, r.Schedules[0], r.Programs, trials, seed, noise, c.Workers)
+	out, err := run(ctx, c.Device, r.Schedules[0], r.Programs, trials, seed, noise, c.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -492,26 +501,5 @@ func (c *Compiler) SimulateClifford(r *Result, trials int, seed int64, noise sim
 // SimulateCliffordContext is SimulateClifford with a caller-supplied
 // context, checked at shard boundaries like SimulateContext.
 func (c *Compiler) SimulateCliffordContext(ctx context.Context, r *Result, trials int, seed int64, noise sim.NoiseModel) ([]float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if r.Strategy == Separate {
-		psts := make([]float64, len(r.Programs))
-		for i, p := range r.Programs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out, err := sim.SimulateScheduleCliffordCtx(ctx, c.Device, r.Schedules[i], []*circuit.Circuit{p}, trials, seed+int64(i), noise, c.Workers)
-			if err != nil {
-				return nil, err
-			}
-			psts[i] = out.PST[0]
-		}
-		return psts, nil
-	}
-	out, err := sim.SimulateScheduleCliffordCtx(ctx, c.Device, r.Schedules[0], r.Programs, trials, seed, noise, c.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return out.PST, nil
+	return c.simulate(ctx, sim.SimulateScheduleCliffordCtx, r, trials, seed, noise)
 }

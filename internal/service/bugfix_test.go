@@ -289,3 +289,40 @@ func TestJobsPaging(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRejectsUnmeasuredProgram: a program that measures nothing
+// has no outcome to score, so POST /v1/jobs answers 400 instead of
+// admitting it (where it would report a vacuous PST, or fail every
+// partner co-located with it). A measured program submitted next still
+// runs to completion.
+func TestSubmitRejectsUnmeasuredProgram(t *testing.T) {
+	svc := newTestService(t, testConfig())
+	svc.Start()
+	defer svc.Shutdown(context.Background())
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	const unmeasured = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\ncx q[0],q[1];\n"
+	resp, body := submit(t, ts.URL, "nomeasure", unmeasured)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unmeasured program: expected 400, got %d: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "measures no qubit") {
+		t.Fatalf("unmeasured program: error body %s does not name the cause", body)
+	}
+
+	resp, body = submit(t, ts.URL, "bv", benchQASM(t, "bv_n3"))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("measured program: expected 202, got %d: %s", resp.StatusCode, body)
+	}
+	var rec JobRecord
+	if err := json.Unmarshal(body, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, ts.URL, rec.ID, 60*time.Second); final.State != StateDone {
+		t.Fatalf("measured program ended %s: %s", final.State, final.Error)
+	}
+	if rec.Seq != 0 {
+		t.Fatalf("measured program got sequence %d; the rejected one must not consume a slot", rec.Seq)
+	}
+}

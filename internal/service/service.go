@@ -617,9 +617,8 @@ func (s *Service) restorePendingLocked(p wal.Record) {
 		tn.idem[p.Idem] = idemEntry{jobID: p.ID, fingerprint: p.Fingerprint}
 	}
 	circ, err := circuit.ParseQASMString(p.Name, p.QASM)
-	if err == nil && circ.NumQubits > s.maxQubits {
-		err = fmt.Errorf("%w: program %q needs %d qubits, largest backend has %d",
-			ErrTooLarge, p.Name, circ.NumQubits, s.maxQubits)
+	if err == nil {
+		err = s.checkProgram(circ)
 	}
 	if err == nil {
 		j.rec.Qubits = circ.NumQubits
@@ -688,6 +687,21 @@ type SubmitOptions struct {
 	IdempotencyKey string
 }
 
+// checkProgram rejects a program no backend can run: one wider than
+// the largest backend (ErrTooLarge), or one that measures nothing and
+// so has no outcome to score. Catching the latter at admission keeps it
+// out of co-located batches, whose simulation it would fail.
+func (s *Service) checkProgram(circ *circuit.Circuit) error {
+	if circ.NumQubits > s.maxQubits {
+		return fmt.Errorf("%w: program %q needs %d qubits, largest backend has %d",
+			ErrTooLarge, circ.Name, circ.NumQubits, s.maxQubits)
+	}
+	if circ.MeasureCount() == 0 {
+		return fmt.Errorf("service: program %q measures no qubit", circ.Name)
+	}
+	return nil
+}
+
 // Submit enqueues a parsed program for the default tenant. It fails
 // with ErrQueueFull under backpressure, ErrShuttingDown during drain,
 // and ErrTooLarge when no backend can hold the program.
@@ -701,16 +715,16 @@ func (s *Service) Submit(circ *circuit.Circuit) (JobRecord, error) {
 // collapsed onto an existing job via its idempotency key. Admission
 // errors: ErrShuttingDown during drain, ErrQueueFull when the global
 // queue is full, ErrTenantQuota when the tenant's weighted share is
-// exhausted, ErrTooLarge when no backend fits, plus the tenant
-// resolution errors (ErrUnknownTenant, ErrTenantDisabled) and
-// ErrIdemConflict for a reused key with different content.
+// exhausted, ErrTooLarge when no backend fits, an error for a program
+// that measures nothing, plus the tenant resolution errors
+// (ErrUnknownTenant, ErrTenantDisabled) and ErrIdemConflict for a
+// reused key with different content.
 func (s *Service) SubmitJob(circ *circuit.Circuit, opts SubmitOptions) (JobRecord, bool, error) {
 	if circ == nil || circ.NumQubits == 0 {
 		return JobRecord{}, false, fmt.Errorf("service: empty program")
 	}
-	if circ.NumQubits > s.maxQubits {
-		return JobRecord{}, false, fmt.Errorf("%w: program %q needs %d qubits, largest backend has %d",
-			ErrTooLarge, circ.Name, circ.NumQubits, s.maxQubits)
+	if err := s.checkProgram(circ); err != nil {
+		return JobRecord{}, false, err
 	}
 	fj := fleet.Job{Qubits: circ.NumQubits, CNOTs: circ.CNOTCount(), Gate1s: circ.Gate1Count()}
 	s.mu.Lock()

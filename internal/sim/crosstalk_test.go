@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -207,7 +208,7 @@ func TestMatrixCrosstalkLowersPST(t *testing.T) {
 	noise.CrosstalkFactor = 0 // isolate the matrix's effect
 	run := func(m arch.CrosstalkMatrix) float64 {
 		d.Crosstalk = m
-		out, err := SimulateSchedule(d, s, progs, 3000, 7, noise)
+		out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 3000, 7, noise, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func TestAnalyticESPMatrixDifferential(t *testing.T) {
 		t.Fatalf("matrix did not lower ESP: %v vs %v", espMat.PerProgram[0], espFree.PerProgram[0])
 	}
 
-	out, err := SimulateSchedule(d, s, progs, 4000, 3, noise)
+	out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 4000, 3, noise, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

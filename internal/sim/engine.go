@@ -9,7 +9,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/graph"
-	"repro/internal/pool"
 	"repro/internal/router"
 )
 
@@ -137,135 +136,21 @@ func layerize(sched *router.Schedule) *layered {
 	}
 }
 
-// SimulateSchedule runs the compiled schedule for the given number of
-// noisy trials and returns per-program PSTs. The correct answer per
-// program is its modal bitstring under a noiseless run of the same
-// schedule. progs must be the source programs the schedule was built
-// from (for qubit counts); seed drives all stochastic channels.
+// SimulateScheduleCtx runs the compiled schedule for the given number
+// of noisy trials on the statevector engine and returns per-program
+// PSTs. The correct answer per program is its modal bitstring under a
+// noiseless run of the same schedule. progs must be the source programs
+// the schedule was built from, each measuring at least one qubit; seed
+// drives all stochastic channels.
 //
-// Trials run sharded over the default worker pool; the outcome is a
-// pure function of the arguments regardless of GOMAXPROCS (see
-// SimulateScheduleWorkers).
-func SimulateSchedule(d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel) (*Outcome, error) {
-	return SimulateScheduleWorkers(d, sched, progs, trials, seed, noise, 0)
-}
-
-// SimulateScheduleWorkers is SimulateSchedule with an explicit worker
-// count (0 selects pool.Default(), 1 forces sequential execution). The
-// trial budget is split into fixed shards, each with its own
-// counter-derived RNG, so every worker count produces bit-identical
-// PSTs.
-func SimulateScheduleWorkers(d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
-	return SimulateScheduleCtx(context.Background(), d, sched, progs, trials, seed, noise, workers)
-}
-
-// SimulateScheduleCtx is SimulateScheduleWorkers with a caller-supplied
-// context: cancellation is checked at shard boundaries, so a service
-// deadline abandons the remaining trial budget and returns the
-// context's error. An uncancelled context leaves the result
-// bit-identical to SimulateScheduleWorkers.
+// Trials run sharded over workers (0 selects pool.Default(), 1 forces
+// sequential execution). Each fixed shard has its own counter-derived
+// RNG, so the outcome is a pure function of the other arguments at
+// every worker count and GOMAXPROCS. Cancellation is checked at shard
+// boundaries: a service deadline abandons the remaining trial budget
+// and returns the context's error.
 func SimulateScheduleCtx(ctx context.Context, d *arch.Device, sched *router.Schedule, progs []*circuit.Circuit, trials int, seed int64, noise NoiseModel, workers int) (*Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if trials <= 0 {
-		return nil, fmt.Errorf("sim: trials must be positive, got %d", trials)
-	}
-	lay := layerize(sched)
-	if noise.Enabled && noise.SerializeCrosstalk {
-		lay = serializeCrosstalk(d, lay)
-	}
-	if len(lay.active) > 24 {
-		return nil, fmt.Errorf("sim: %d active qubits exceed the statevector limit", len(lay.active))
-	}
-	// Group measurements per program in logical order.
-	measOf := make([][]router.Measurement, len(progs))
-	for _, m := range lay.measures {
-		if m.Program < 0 || m.Program >= len(progs) {
-			return nil, fmt.Errorf("sim: measurement for unknown program %d", m.Program)
-		}
-		measOf[m.Program] = append(measOf[m.Program], m)
-	}
-	for p := range measOf {
-		sort.Slice(measOf[p], func(i, j int) bool { return measOf[p][i].Logical < measOf[p][j].Logical })
-	}
-
-	// Lower the schedule once: compact indices, folded error rates, 1q
-	// matrices, and idle lists are trial-invariant (see hotpath.go).
-	cp, err := compileLayers(d, lay, noise, engineStatevector)
-	if err != nil {
-		return nil, err
-	}
-
-	// Noiseless reference run fixes the correct outcome.
-	ref := newState(cp.nq)
-	cp.runStatevectorNoiseless(ref)
-	modal := ref.modal()
-	correct := make([]string, len(progs))
-	plan := make([][]measPoint, len(progs))
-	for p := range progs {
-		buf := make([]byte, len(measOf[p]))
-		plan[p] = make([]measPoint, len(measOf[p]))
-		for i, m := range measOf[p] {
-			b := (modal >> uint(lay.compact[m.Phys])) & 1
-			buf[i] = byte('0' + b)
-			plan[p][i] = measPoint{compact: lay.compact[m.Phys], readout: d.ReadoutErr[m.Phys], correct: b}
-		}
-		correct[p] = string(buf)
-	}
-	doReadout := noise.Enabled && noise.Readout
-
-	// Shard the trial budget: shard s runs trials [lo, hi) with its own
-	// counter-derived RNG, so per-shard counts do not depend on how the
-	// shards are spread over goroutines. Each shard reuses one state
-	// buffer across its trials.
-	shards := numShards(trials)
-	workers = shardWorkers(workers, trials, cp.trialWork)
-	perShard := make([][]int, shards)
-	ferr := pool.ForEach(ctx, shards, workers, func(s int) error {
-		rng := rand.New(rand.NewSource(shardSeed(seed, s)))
-		lo, hi := shardRange(s, trials)
-		succ := make([]int, len(progs))
-		st := newState(cp.nq)
-		for trial := lo; trial < hi; trial++ {
-			st.reset()
-			cp.runStatevector(st, rng)
-			for p := range plan {
-				ok := true
-				for i := range plan[p] {
-					mp := &plan[p][i]
-					b := st.measure(mp.compact, rng)
-					if doReadout && rng.Float64() < mp.readout {
-						b ^= 1
-					}
-					if b != mp.correct {
-						ok = false
-					}
-				}
-				if ok {
-					succ[p]++
-				}
-			}
-		}
-		perShard[s] = succ
-		return nil
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	// Reduce in shard-index order (integer sums are order-independent,
-	// but the fixed order keeps the pattern uniform across engines).
-	succ := make([]int, len(progs))
-	for s := 0; s < shards; s++ {
-		for p, v := range perShard[s] {
-			succ[p] += v
-		}
-	}
-	out := &Outcome{PST: make([]float64, len(progs)), Correct: correct, Trials: trials}
-	for p := range progs {
-		out.PST[p] = float64(succ[p]) / float64(trials)
-	}
-	return out, nil
+	return simulate(ctx, engineStatevector, d, sched, progs, trials, seed, noise, workers)
 }
 
 // runTrial executes all layers on st (without final measurements),
@@ -471,7 +356,7 @@ func linksAdjacent(d *arch.Device, a, b []int) bool {
 // noise and returns its modal output bitstring over measured qubits (in
 // qubit order) plus that outcome's probability.
 func SimulateIdeal(c *circuit.Circuit) (string, float64, error) {
-	if c.NumQubits > 24 {
+	if c.NumQubits > maxStatevectorQubits {
 		return "", 0, fmt.Errorf("sim: %d qubits exceed the statevector limit", c.NumQubits)
 	}
 	st := newState(c.NumQubits)

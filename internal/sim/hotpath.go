@@ -169,15 +169,6 @@ func compileLayers(d *arch.Device, lay *layered, noise NoiseModel, engine engine
 	return cp, nil
 }
 
-// measPoint is one measurement with its trial-invariant inputs
-// resolved: the compact qubit index, the qubit's readout-error rate,
-// and the reference run's correct bit.
-type measPoint struct {
-	compact int
-	readout float64
-	correct int
-}
-
 // cliffordKind maps a single-qubit Clifford gate name to its op kind.
 func cliffordKind(name string) (opKind, bool) {
 	switch name {

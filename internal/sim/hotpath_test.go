@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -184,12 +185,12 @@ func TestCliffordBenchWorkloadGatesSequential(t *testing.T) {
 func TestCliffordGatedFingerprintAcrossWorkers(t *testing.T) {
 	d, s, progs := ghzSchedule(t)
 	for _, trials := range []int{shardTrials + 3, 40 * shardTrials} {
-		want, err := SimulateScheduleCliffordWorkers(d, s, progs, trials, 13, DefaultNoise(), 1)
+		want, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 13, DefaultNoise(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 2, 8} {
-			got, err := SimulateScheduleCliffordWorkers(d, s, progs, trials, 13, DefaultNoise(), workers)
+			got, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 13, DefaultNoise(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,6 +249,33 @@ func TestTableauTrialAllocs(t *testing.T) {
 	}
 }
 
+// TestTrialStateAllocs extends the guard to the engine-neutral
+// trialState: interface dispatch and the tableau's per-measure outcome
+// closure must not allocate either.
+func TestTrialStateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		engine engineKind
+		build  func(testing.TB) (*arch.Device, *router.Schedule, []*circuit.Circuit)
+	}{
+		{engineStatevector, pairSchedule},
+		{engineTableau, ghzSchedule},
+	} {
+		d, s, _ := tc.build(t)
+		lay, cp := compiledLay(t, d, s, DefaultNoise(), tc.engine)
+		st := newTrialState(tc.engine, cp.nq)
+		rng := rand.New(rand.NewSource(1))
+		allocs := testing.AllocsPerRun(20, func() {
+			st.trial(cp, rng)
+			for _, m := range lay.measures {
+				st.measure(lay.compact[m.Phys], rng)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("engine %d trial allocates %.1f times per run, want 0", tc.engine, allocs)
+		}
+	}
+}
+
 // TestSimulateParallelSpeedupAt8Cores asserts the headline claim on
 // machines that can demonstrate it: with >= 8 CPUs, the sharded
 // statevector path must beat sequential by at least 2x on the
@@ -265,7 +293,7 @@ func TestSimulateParallelSpeedupAt8Cores(t *testing.T) {
 	trials := 4 * shardTrials
 	run := func(workers int) time.Duration {
 		start := time.Now()
-		if _, err := SimulateScheduleWorkers(d, s, progs, trials, 7, noise, workers); err != nil {
+		if _, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, noise, workers); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

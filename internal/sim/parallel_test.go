@@ -1,13 +1,13 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/nisqbench"
-	"repro/internal/pool"
 	"repro/internal/router"
 )
 
@@ -72,12 +72,12 @@ func pairSchedule(tb testing.TB) (*arch.Device, *router.Schedule, []*circuit.Cir
 func TestSimulateWorkersDifferential(t *testing.T) {
 	d, s, progs := pairSchedule(t)
 	trials := 2*shardTrials + 100 // 3 shards, last one partial
-	want, err := SimulateScheduleWorkers(d, s, progs, trials, 7, DefaultNoise(), 1)
+	want, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		got, err := SimulateScheduleWorkers(d, s, progs, trials, 7, DefaultNoise(), workers)
+		got, err := SimulateScheduleCtx(context.Background(), d, s, progs, trials, 7, DefaultNoise(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,12 +96,12 @@ func TestSimulateCliffordWorkersDifferential(t *testing.T) {
 	}
 	progs := []*circuit.Circuit{prog}
 	trials := 3*shardTrials + 1
-	want, err := SimulateScheduleCliffordWorkers(d, s, progs, trials, 11, DefaultNoise(), 1)
+	want, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 11, DefaultNoise(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := SimulateScheduleCliffordWorkers(d, s, progs, trials, 11, DefaultNoise(), workers)
+		got, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, trials, 11, DefaultNoise(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,45 +111,19 @@ func TestSimulateCliffordWorkersDifferential(t *testing.T) {
 	}
 }
 
-// TestSimulateMitigatedWorkersDifferential drives the worker count
-// through the pool default, the only knob the mitigation engine
-// exposes; its per-shard integer histograms must make the reduction
-// exact at any setting.
-func TestSimulateMitigatedWorkersDifferential(t *testing.T) {
-	defer pool.SetDefault(0)
-	d, s, progs := pairSchedule(t)
-	noise := DefaultNoise()
-	trials := shardTrials + 200
-	pool.SetDefault(1)
-	want, err := SimulateScheduleMitigated(d, s, progs, trials, 3, noise)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		pool.SetDefault(workers)
-		got, err := SimulateScheduleMitigated(d, s, progs, trials, 3, noise)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d mitigated outcome %+v differs from sequential %+v", workers, got, want)
-		}
-	}
-}
-
 func benchSimulate(b *testing.B, workers int) {
 	d, s, progs := pairSchedule(b)
 	noise := DefaultNoise()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateScheduleWorkers(d, s, progs, 2*shardTrials, 7, noise, workers); err != nil {
+		if _, err := SimulateScheduleCtx(context.Background(), d, s, progs, 2*shardTrials, 7, noise, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSimulateSequential(b *testing.B) { benchSimulate(b, 1) }
-func BenchmarkSimulateParallel(b *testing.B)  { benchSimulate(b, 0) }
+func BenchmarkSimulateParallel(b *testing.B)   { benchSimulate(b, 0) }
 
 func benchSimulateClifford(b *testing.B, workers int) {
 	d := arch.IBMQ16(0)
@@ -162,7 +136,7 @@ func benchSimulateClifford(b *testing.B, workers int) {
 	noise := DefaultNoise()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateScheduleCliffordWorkers(d, s, progs, 4*shardTrials, 7, noise, workers); err != nil {
+		if _, err := SimulateScheduleCliffordCtx(context.Background(), d, s, progs, 4*shardTrials, 7, noise, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,15 +1,15 @@
 package sim
 
-// Trial sharding for the parallel Monte-Carlo engines.
+// Trial sharding for the Monte-Carlo loop (montecarlo.go).
 //
 // Each simulation's trial budget is split into fixed-size shards and
 // every shard owns a private *rand.Rand whose seed is a pure function of
 // (caller seed, shard index). Shard s always covers the same trial
 // range and always draws the same random stream, so per-shard success
 // counts — and therefore the summed PSTs — are identical whether the
-// shards run on one goroutine or sixteen. The reduction over shards
-// happens in shard-index order, keeping even float aggregation
-// bit-stable (see DESIGN.md, "Shard-seed derivation").
+// shards run on one goroutine or sixteen. The integer counts are
+// reduced in shard-index order (see DESIGN.md, "Shard-seed
+// derivation").
 
 // shardTrials is the number of Monte-Carlo trials per RNG shard. It is
 // a determinism constant, not a tuning knob: changing it changes which
@@ -18,8 +18,8 @@ const shardTrials = 512
 
 // shardSeed derives shard s's RNG seed from the caller's seed with a
 // splitmix64-style finalizer, so neighboring (seed, shard) pairs map to
-// decorrelated streams. The +2 offset keeps shard 0 off the raw seed
-// (which seeds the noiseless reference run).
+// decorrelated streams. The +2 offset keeps shard 0 off the raw seed;
+// like shardTrials it is part of the determinism contract.
 func shardSeed(seed int64, shard int) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(int64(shard)+2)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -198,7 +199,7 @@ func TestSimulateScheduleNoiselessIsPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 50, 1, NoiseModel{})
+	out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 50, 1, NoiseModel{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSimulateScheduleNoiseLowersPST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 400, 1, DefaultNoise())
+	noisy, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 400, 1, DefaultNoise(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestSimulateScheduleTwoPrograms(t *testing.T) {
 	p1 := nisqbench.MustGet("bv_n3")
 	p2 := nisqbench.MustGet("bv_n3")
 	s, progs := compilePair(t, d, p1, p2, []int{0, 1, 2}, []int{11, 12, 13})
-	out, err := SimulateSchedule(d, s, progs, 300, 2, DefaultNoise())
+	out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 300, 2, DefaultNoise(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestWorseLinksLowerPST(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 500, 3, DefaultNoise())
+		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 500, 3, DefaultNoise(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func TestIdleDecoherencePenalizesWaiting(t *testing.T) {
 	noise := NoiseModel{Enabled: true, IdleErrPerLayer: 0.004, Readout: false}
 	pstWith := func(partner *circuit.Circuit) float64 {
 		s, progs := compilePair(t, d, short, partner, []int{0, 1}, []int{3, 4})
-		out, err := SimulateSchedule(d, s, progs, 600, 4, noise)
+		out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 600, 4, noise, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,8 +308,38 @@ func TestSimulateScheduleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 0, 1, NoiseModel{}); err == nil {
+	if _, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 0, 1, NoiseModel{}, 0); err == nil {
 		t.Fatal("zero trials must error")
+	}
+}
+
+// TestSimulateRejectsUnmeasuredProgram: a program without measurements
+// has no outcome, so its success would be vacuous (PST 1 under any
+// noise). Both engines refuse it, alone and next to a measured partner.
+func TestSimulateRejectsUnmeasuredProgram(t *testing.T) {
+	d := arch.IBMQ16(0)
+	bare := circuit.New("bare", 2).H(0).CX(0, 1).CX(0, 1)
+	measured := circuit.New("bell", 2).H(0).CX(0, 1).MeasureAll()
+	solo, err := router.RouteSingle(d, bare, []int{0, 1}, router.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, progs := compilePair(t, d, measured, bare, []int{0, 1}, []int{5, 6})
+	cases := []struct {
+		name  string
+		sched *router.Schedule
+		progs []*circuit.Circuit
+	}{
+		{"alone", solo, []*circuit.Circuit{bare}},
+		{"co-located", pair, progs},
+	}
+	for _, tc := range cases {
+		if out, err := SimulateScheduleCtx(context.Background(), d, tc.sched, tc.progs, 100, 1, DefaultNoise(), 0); err == nil {
+			t.Errorf("%s: statevector accepted an unmeasured program (PST %v)", tc.name, out.PST)
+		}
+		if out, err := SimulateScheduleCliffordCtx(context.Background(), d, tc.sched, tc.progs, 100, 1, DefaultNoise(), 0); err == nil {
+			t.Errorf("%s: tableau accepted an unmeasured program (PST %v)", tc.name, out.PST)
+		}
 	}
 }
 
@@ -336,11 +367,11 @@ func TestDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 200, 7, DefaultNoise())
+	a, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 200, 7, DefaultNoise(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 200, 7, DefaultNoise())
+	b, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 200, 7, DefaultNoise(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +396,7 @@ func TestBridgedScheduleSemanticsMatchSwapped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 50, 1, NoiseModel{})
+		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 50, 1, NoiseModel{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +430,7 @@ func TestInterProgramBridgeRestoresOtherProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := SimulateSchedule(d, s, []*circuit.Circuit{p1, p2}, 50, 2, NoiseModel{})
+	out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p1, p2}, 50, 2, NoiseModel{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,11 +489,11 @@ func TestSerializeCrosstalkImprovesPSTUnderHeavyCrosstalk(t *testing.T) {
 	base := NoiseModel{Enabled: true, CrosstalkFactor: 3.0, IdleErrPerLayer: 0.0001, Readout: false}
 	serial := base
 	serial.SerializeCrosstalk = true
-	outBase, err := SimulateSchedule(d, s, progs, 800, 9, base)
+	outBase, err := SimulateScheduleCtx(context.Background(), d, s, progs, 800, 9, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outSerial, err := SimulateSchedule(d, s, progs, 800, 9, serial)
+	outSerial, err := SimulateScheduleCtx(context.Background(), d, s, progs, 800, 9, serial, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +520,7 @@ func TestSerializeCrosstalkPreservesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	noise := NoiseModel{Enabled: true, SerializeCrosstalk: true}
-	out, err := SimulateSchedule(d, s, progs, 60, 3, noise)
+	out, err := SimulateScheduleCtx(context.Background(), d, s, progs, 60, 3, noise, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +545,7 @@ func TestPSTMonotonicInGateError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 1200, 17, DefaultNoise())
+		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 1200, 17, DefaultNoise(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +565,7 @@ func TestPSTMonotonicInReadoutError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := SimulateSchedule(d, s, []*circuit.Circuit{p}, 1200, 23, DefaultNoise())
+		out, err := SimulateScheduleCtx(context.Background(), d, s, []*circuit.Circuit{p}, 1200, 23, DefaultNoise(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

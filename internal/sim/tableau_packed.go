@@ -10,7 +10,7 @@ import (
 // ptab is the bit-packed counterpart of tableau: each Pauli row stores
 // its x/z bits in 64-bit words, so gate updates and row products run
 // word-parallel (~64 qubits per operation). It is the production
-// backend behind SimulateScheduleClifford; the boolean tableau remains
+// backend behind SimulateScheduleCliffordCtx; the boolean tableau remains
 // as the cross-validation reference.
 type ptab struct {
 	n     int
