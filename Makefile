@@ -63,24 +63,30 @@ fuzz-smoke:
 
 # Machine-readable benchmark records: the sequential-vs-parallel
 # Simulate micro-benches, the packed-vs-boolean tableau pair, the
-# SABRE/X-SWAP routing benches, and the Table 2 compile pipeline go to
+# SABRE/X-SWAP routing benches, the Table 2 compile pipeline, the SRB
+# estimate, and the CDAP partitioner plus the EPST scheduler go to
 # BENCH_parallel.json; the cold-vs-warm compile-cache pair goes to
 # BENCH_cache.json with a derived warm_speedup ratio; the 1-vs-4-chip
 # fleet dispatch sweep (throughput and p99 wait per policy) goes to
-# BENCH_fleet.json with a derived scale-out ratio.
+# BENCH_fleet.json with a derived scale-out ratio. Every run in
+# BENCH_parallel.json is pinned to -cpu 1: bench-compare matches entries
+# by (group, name, procs), so an unpinned run on a multi-core host
+# would match nothing against the committed baseline.
 BENCH_PARALLEL ?= BENCH_parallel.json
 bench-parallel-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulate(Clifford)?(Sequential|Parallel)$$' -benchtime 3x ./internal/sim \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulate(Clifford)?(Sequential|Parallel)$$' -benchtime 3x -cpu 1 ./internal/sim \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL) -label simulate
-	$(GO) test -run '^$$' -bench 'Benchmark(PackedVsBooleanTableau|TableauMeasureHeavy)/' -benchtime 10x ./internal/sim \
+	$(GO) test -run '^$$' -bench 'Benchmark(PackedVsBooleanTableau|TableauMeasureHeavy)/' -benchtime 10x -cpu 1 ./internal/sim \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL) -label tableau -append \
 			-ratio packed_speedup=PackedVsBooleanTableau/boolean/PackedVsBooleanTableau/packed
-	$(GO) test -run '^$$' -bench 'BenchmarkRoute(SABRE|XSWAP)$$' -benchtime 50x . \
+	$(GO) test -run '^$$' -bench 'BenchmarkRoute(SABRE|XSWAP)$$' -benchtime 50x -cpu 1 . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL) -label route -append
-	$(GO) test -run '^$$' -bench 'BenchmarkTable2$$' -benchtime 1x . \
+	$(GO) test -run '^$$' -bench 'BenchmarkTable2$$' -benchtime 1x -cpu 1 . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL) -label table2 -append
-	$(GO) test -run '^$$' -bench 'BenchmarkSRBEstimate$$' -benchtime 20x ./internal/srb \
+	$(GO) test -run '^$$' -bench 'BenchmarkSRBEstimate$$' -benchtime 20x -cpu 1 ./internal/srb \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL) -label srb -append
+	$(GO) test -run '^$$' -bench 'Benchmark(CDAPPartition|Scheduler)$$' -benchtime 20x -cpu 1 . \
+		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL) -label partition -append
 
 bench-json: bench-parallel-json
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheCompile(Cold|Warm)$$' -benchtime 20x . \
@@ -99,10 +105,11 @@ bench-service-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkTenantLoadgen$$' -benchtime 1x ./internal/service \
 		| $(GO) run ./cmd/benchjson -o BENCH_service.json -label service
 
-# Benchmark-regression gate: regenerate the parallel/route benches into
-# a scratch file and compare them against the committed baseline.
-# Fails (exit 1) when any benchmark slowed past the threshold; the
-# scratch file is kept on failure for inspection.
+# Benchmark-regression gate: regenerate the BENCH_parallel.json groups
+# into a scratch file and compare them against the committed baseline.
+# Fails (exit 1) when any benchmark slowed past the threshold, when a
+# baseline benchmark is missing from the new run, or when nothing
+# matched at all; the scratch file is kept on failure for inspection.
 BENCH_THRESHOLD ?= 1.6
 bench-compare:
 	$(MAKE) bench-parallel-json BENCH_PARALLEL=BENCH_parallel.new.json

@@ -13,6 +13,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -236,14 +237,35 @@ func fmtNs(ns float64) string {
 	}
 }
 
+// compareResult counts the outcomes of one comparison.
+type compareResult struct {
+	compared, regressions, added, removed int
+}
+
+// verdict is the gate's decision: it fails when nothing was compared,
+// when a baseline benchmark has no counterpart in the new run (renamed,
+// dropped, or run at another GOMAXPROCS, which would otherwise let a
+// re-recorded baseline pass vacuously), or when any benchmark regressed.
+func (r compareResult) verdict() error {
+	switch {
+	case r.compared == 0:
+		return errors.New("nothing compared: no benchmark matched the baseline by group, name and procs")
+	case r.removed > 0:
+		return fmt.Errorf("%d baseline benchmark(s) missing from the new run", r.removed)
+	case r.regressions > 0:
+		return fmt.Errorf("%d benchmark(s) regressed", r.regressions)
+	}
+	return nil
+}
+
 // compareDocs prints one line per benchmark with the new/old ns-per-op
-// ratio and returns the number of regressions — benchmarks whose ratio
-// exceeds threshold. Output follows the new document's group and bench
-// order (then the old document's order for removed entries), so the
-// report is deterministic. Benchmarks are matched by group label, name
-// and procs; unmatched entries are reported as added/removed, never as
-// failures.
-func compareDocs(w io.Writer, oldDoc, newDoc Document, threshold float64) int {
+// ratio and counts regressions — benchmarks whose ratio exceeds
+// threshold. Output follows the new document's group and bench order
+// (then the old document's order for removed entries), so the report is
+// deterministic. Benchmarks are matched by group label, name and procs;
+// unmatched entries are reported as added/removed, and verdict fails
+// the gate on removed ones.
+func compareDocs(w io.Writer, oldDoc, newDoc Document, threshold float64) compareResult {
 	oldIdx := map[benchKey]Benchmark{}
 	for _, g := range oldDoc.Groups {
 		for _, b := range g.Benchmarks {
@@ -251,13 +273,13 @@ func compareDocs(w io.Writer, oldDoc, newDoc Document, threshold float64) int {
 		}
 	}
 	matched := map[benchKey]bool{}
-	compared, regressions, added := 0, 0, 0
+	var r compareResult
 	for _, g := range newDoc.Groups {
 		for _, b := range g.Benchmarks {
 			k := benchKey{g.Label, b.Name, b.Procs}
 			ob, ok := oldIdx[k]
 			if !ok {
-				added++
+				r.added++
 				fmt.Fprintf(w, "added      %s/%s: %s\n", g.Label, b.Name, fmtNs(b.NsPerOp))
 				continue
 			}
@@ -266,31 +288,30 @@ func compareDocs(w io.Writer, oldDoc, newDoc Document, threshold float64) int {
 				fmt.Fprintf(w, "skipped    %s/%s: old ns/op is not positive\n", g.Label, b.Name)
 				continue
 			}
-			compared++
+			r.compared++
 			ratio := b.NsPerOp / ob.NsPerOp
 			status := "ok        "
 			switch {
 			case ratio > threshold:
 				status = "REGRESSION"
-				regressions++
+				r.regressions++
 			case ratio < 1/threshold:
 				status = "improved  "
 			}
 			fmt.Fprintf(w, "%s %s/%s: %s -> %s (x%.3f)\n", status, g.Label, b.Name, fmtNs(ob.NsPerOp), fmtNs(b.NsPerOp), ratio)
 		}
 	}
-	removed := 0
 	for _, g := range oldDoc.Groups {
 		for _, b := range g.Benchmarks {
 			if !matched[benchKey{g.Label, b.Name, b.Procs}] {
-				removed++
+				r.removed++
 				fmt.Fprintf(w, "removed    %s/%s\n", g.Label, b.Name)
 			}
 		}
 	}
 	fmt.Fprintf(w, "%d compared, %d regressions (threshold x%.2f), %d added, %d removed\n",
-		compared, regressions, threshold, added, removed)
-	return regressions
+		r.compared, r.regressions, threshold, r.added, r.removed)
+	return r
 }
 
 // ratioFlags collects repeated -ratio specs.
@@ -303,7 +324,7 @@ func main() {
 	out := flag.String("o", "BENCH.json", "output JSON file")
 	label := flag.String("label", "bench", "label for this benchmark group")
 	appendMode := flag.Bool("append", false, "merge into an existing output file instead of overwriting")
-	compareMode := flag.Bool("compare", false, "compare two benchmark JSON files (old new) instead of parsing stdin; exits 1 on regression")
+	compareMode := flag.Bool("compare", false, "compare two benchmark JSON files (old new) instead of parsing stdin; exits 1 on a regression, a missing baseline entry, or nothing compared")
 	threshold := flag.Float64("threshold", 1.25, "-compare regression threshold: fail when new/old ns-per-op exceeds this factor")
 	var ratios ratioFlags
 	flag.Var(&ratios, "ratio", "derived speedup entry name=Numerator/Denominator (repeatable; names without the Benchmark prefix)")
@@ -328,7 +349,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
-		if compareDocs(os.Stdout, oldDoc, newDoc, *threshold) > 0 {
+		if err := compareDocs(os.Stdout, oldDoc, newDoc, *threshold).verdict(); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson: -compare:", err)
 			os.Exit(1)
 		}
 		return

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -181,7 +182,7 @@ func TestCompareDocsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	regressions := compareDocs(&buf, oldDoc, newDoc, 1.25)
+	regressions := compareDocs(&buf, oldDoc, newDoc, 1.25).regressions
 	if regressions != 1 {
 		t.Fatalf("got %d regressions, want 1 (SimulateCliffordParallel)", regressions)
 	}
@@ -207,17 +208,82 @@ func TestCompareDocsThreshold(t *testing.T) {
 	}
 	var buf strings.Builder
 	// At a 1.5x threshold the 1.404x Clifford slowdown passes.
-	if got := compareDocs(&buf, oldDoc, newDoc, 1.5); got != 0 {
+	if got := compareDocs(&buf, oldDoc, newDoc, 1.5).regressions; got != 0 {
 		t.Fatalf("threshold 1.5: got %d regressions, want 0", got)
 	}
 	buf.Reset()
 	// At 1.01x both the Clifford slowdown regresses; improvements never do.
-	if got := compareDocs(&buf, oldDoc, newDoc, 1.01); got != 1 {
+	if got := compareDocs(&buf, oldDoc, newDoc, 1.01).regressions; got != 1 {
 		t.Fatalf("threshold 1.01: got %d regressions, want 1", got)
 	}
 	buf.Reset()
-	if got := compareDocs(&buf, oldDoc, oldDoc, 1.01); got != 0 {
+	if got := compareDocs(&buf, oldDoc, oldDoc, 1.01).regressions; got != 0 {
 		t.Fatalf("self-compare: got %d regressions, want 0", got)
+	}
+}
+
+// compareGolden runs -compare on testdata/<name>_{old,new}.json,
+// checks the report against testdata/<name>_golden.txt, and returns
+// the gate's verdict.
+func compareGolden(t *testing.T, name string) error {
+	t.Helper()
+	oldDoc, err := loadDoc(filepath.Join("testdata", name+"_old.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newDoc, err := loadDoc(filepath.Join("testdata", name+"_new.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	r := compareDocs(&buf, oldDoc, newDoc, 1.6)
+	want, err := os.ReadFile(filepath.Join("testdata", name+"_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != string(want) {
+		t.Fatalf("compare output differs from golden:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
+	}
+	if r.regressions != 0 {
+		t.Fatalf("got %d regressions, want 0: the gate must fail on its own", r.regressions)
+	}
+	return r.verdict()
+}
+
+// TestCompareNothingComparedFails: a baseline recorded at procs 1
+// against a run at procs 2 matches nothing; the gate must fail instead
+// of passing with "0 compared, 0 regressions".
+func TestCompareNothingComparedFails(t *testing.T) {
+	err := compareGolden(t, "compare_procs")
+	if err == nil || !strings.Contains(err.Error(), "nothing compared") {
+		t.Fatalf("verdict = %v, want a nothing-compared failure", err)
+	}
+}
+
+// TestCompareMissingBaselineFails: a baseline entry absent from the new
+// run fails the gate even when every matched benchmark is fine.
+func TestCompareMissingBaselineFails(t *testing.T) {
+	err := compareGolden(t, "compare_missing")
+	if err == nil || !strings.Contains(err.Error(), "1 baseline benchmark(s) missing") {
+		t.Fatalf("verdict = %v, want a missing-baseline failure", err)
+	}
+}
+
+// TestCompareVerdict: identical documents pass; a regression alone fails.
+func TestCompareVerdict(t *testing.T) {
+	oldDoc, err := loadDoc(filepath.Join("testdata", "compare_missing_old.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compareDocs(io.Discard, oldDoc, oldDoc, 1.6).verdict(); err != nil {
+		t.Fatalf("self-compare verdict = %v, want pass", err)
+	}
+	slow := Document{Groups: []Group{{Label: oldDoc.Groups[0].Label, Benchmarks: append([]Benchmark(nil), oldDoc.Groups[0].Benchmarks...)}}}
+	for i := range slow.Groups[0].Benchmarks {
+		slow.Groups[0].Benchmarks[i].NsPerOp *= 2
+	}
+	if err := compareDocs(io.Discard, oldDoc, slow, 1.6).verdict(); err == nil || !strings.Contains(err.Error(), "regressed") {
+		t.Fatalf("2x slowdown verdict = %v, want a regression failure", err)
 	}
 }
 

@@ -142,10 +142,10 @@ func TestEPSTUnderPenalizesHostileNeighbors(t *testing.T) {
 
 func TestCrosstalkValidation(t *testing.T) {
 	cases := map[string]CrosstalkMatrix{
-		"missing link":      {EdgePair{Victim: graph.NewEdge(0, 5), Aggressor: graph.NewEdge(2, 3)}: 0.1},
-		"non-normalized":    {EdgePair{Victim: graph.Edge{U: 1, V: 0}, Aggressor: graph.NewEdge(2, 3)}: 0.1},
-		"self pair":         {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(0, 1)}: 0.1},
-		"shared qubit":      {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(1, 2)}: 0.1},
+		"missing link":       {EdgePair{Victim: graph.NewEdge(0, 5), Aggressor: graph.NewEdge(2, 3)}: 0.1},
+		"non-normalized":     {EdgePair{Victim: graph.Edge{U: 1, V: 0}, Aggressor: graph.NewEdge(2, 3)}: 0.1},
+		"self pair":          {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(0, 1)}: 0.1},
+		"shared qubit":       {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(1, 2)}: 0.1},
 		"error out of range": {EdgePair{Victim: graph.NewEdge(0, 1), Aggressor: graph.NewEdge(2, 3)}: 1.0},
 	}
 	for name, m := range cases {
@@ -234,5 +234,26 @@ func TestCrosstalkSeriesDeterministicAndAligned(t *testing.T) {
 	// d itself must be untouched by the series generation.
 	if d.HasCrosstalk() {
 		t.Error("CrosstalkSeries mutated the input device")
+	}
+}
+
+// TestEPSTAllocatesNothing guards the claim path: CDAP and the EPST
+// scheduler score thousands of candidate regions per batch, so the
+// per-region estimates must not allocate.
+func TestEPSTAllocatesNothing(t *testing.T) {
+	d := xtalkDevice(t)
+	region := []int{5, 0, 1, 2, 14, 13}
+	busy := d.Coupling.InducedEdges([]int{3, 4, 10, 11})
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"EPST", func() { d.EPST(region, 12, 20, len(region)) }},
+		{"EPSTUnder", func() { d.EPSTUnder(region, 12, 20, len(region), busy) }},
+		{"RegionFidelity", func() { d.RegionFidelity(region) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", c.name, allocs)
+		}
 	}
 }

@@ -204,10 +204,10 @@ func (d *Device) RegionFidelity(qubits []int) float64 {
 		sum += 1 - d.ReadoutErr[q]
 		cnt++
 	}
-	for _, e := range d.Coupling.InducedEdges(qubits) {
+	d.Coupling.EachInducedEdge(qubits, func(e graph.Edge) {
 		sum += 1 - d.CNOTErr[e]
 		cnt++
-	}
+	})
 	return sum / float64(cnt)
 }
 
@@ -216,26 +216,10 @@ func (d *Device) RegionFidelity(qubits []int) float64 {
 // r2q^cnots * r1q^gate1s * rro^qubits, where the r's are the mean
 // reliabilities over the region's internal links and qubits. A region
 // with no internal links scores r2q = 1 (no CNOT can run there anyway).
+// It allocates nothing: the links are summed in Edges() order straight
+// off the coupling graph's adjacency lists.
 func (d *Device) EPST(region []int, cnots, gate1s, qubits int) float64 {
-	if len(region) == 0 {
-		return 0
-	}
-	r2q := 1.0
-	if edges := d.Coupling.InducedEdges(region); len(edges) > 0 {
-		sum := 0.0
-		for _, e := range edges {
-			sum += 1 - d.CNOTErr[e]
-		}
-		r2q = sum / float64(len(edges))
-	}
-	var r1q, rro float64
-	for _, q := range region {
-		r1q += 1 - d.Gate1Err[q]
-		rro += 1 - d.ReadoutErr[q]
-	}
-	r1q /= float64(len(region))
-	rro /= float64(len(region))
-	return math.Pow(r2q, float64(cnots)) * math.Pow(r1q, float64(gate1s)) * math.Pow(rro, float64(qubits))
+	return d.epst(region, cnots, gate1s, qubits, nil)
 }
 
 // EPSTUnder is EPST conditioned on concurrently busy links: when the
@@ -247,18 +231,29 @@ func (d *Device) EPST(region []int, cnots, gate1s, qubits int) float64 {
 // exactly EPST — the same float operations in the same order.
 func (d *Device) EPSTUnder(region []int, cnots, gate1s, qubits int, busy []graph.Edge) float64 {
 	if len(d.Crosstalk) == 0 || len(busy) == 0 {
-		return d.EPST(region, cnots, gate1s, qubits)
+		busy = nil
 	}
+	return d.epst(region, cnots, gate1s, qubits, busy)
+}
+
+// epst is EPST with each internal link charged Worst2qErrUnder(busy),
+// or its base error when busy is nil.
+func (d *Device) epst(region []int, cnots, gate1s, qubits int, busy []graph.Edge) float64 {
 	if len(region) == 0 {
 		return 0
 	}
-	r2q := 1.0
-	if edges := d.Coupling.InducedEdges(region); len(edges) > 0 {
-		sum := 0.0
-		for _, e := range edges {
+	sum, links := 0.0, 0
+	d.Coupling.EachInducedEdge(region, func(e graph.Edge) {
+		if busy == nil {
+			sum += 1 - d.CNOTErr[e]
+		} else {
 			sum += 1 - d.Worst2qErrUnder(e, busy)
 		}
-		r2q = sum / float64(len(edges))
+		links++
+	})
+	r2q := 1.0
+	if links > 0 {
+		r2q = sum / float64(links)
 	}
 	var r1q, rro float64
 	for _, q := range region {

@@ -226,11 +226,10 @@ func pickBatch(d *arch.Device, arrived []Job, cfg Config) []Job {
 		if d.NumQubits() > 20 {
 			scfg.Omega = 0.40
 		}
-		batches, err := sched.Schedule(d, sjobs, scfg)
-		if err != nil || len(batches) == 0 {
+		first, err := sched.Next(d, sjobs, scfg)
+		if err != nil {
 			return arrived[:1]
 		}
-		first := batches[0]
 		inFirst := map[int]bool{}
 		for _, id := range first.JobIDs {
 			inFirst[id] = true

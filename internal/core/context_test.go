@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/circuit"
+	"repro/internal/nisqbench"
+	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
@@ -78,6 +83,30 @@ func TestContextVariantsMatchPlain(t *testing.T) {
 	for i := range plainPSTs {
 		if plainPSTs[i] != ctxPSTs[i] {
 			t.Fatalf("PST[%d] diverged: %v vs %v", i, plainPSTs[i], ctxPSTs[i])
+		}
+	}
+}
+
+// TestPartitionFailureFailsCompile: the CDAP partition is computed once
+// and shared by every attempt, so a partitioner error (an oversized
+// workload) or panic (a device whose 1q error table is too short for
+// EPST) must come back as the compilation's error, never unwind the
+// caller, for every strategy that partitions with CDAP.
+func TestPartitionFailureFailsCompile(t *testing.T) {
+	big := []*circuit.Circuit{nisqbench.MustGet("qft_10"), nisqbench.MustGet("bv_n10")}
+	for _, s := range []Strategy{CDAPOnly, CDAPXSwap} {
+		if _, err := NewCompiler(arch.IBMQ16(0)).Compile(big, s); !errors.Is(err, partition.ErrNoRegion) {
+			t.Fatalf("%s: err = %v, want ErrNoRegion", s, err)
+		}
+	}
+	d := arch.IBMQ16(0)
+	d.Gate1Err = d.Gate1Err[:2]
+	comp := NewCompiler(d)
+	comp.Attempts = 3
+	for _, s := range []Strategy{Separate, CDAPOnly, CDAPXSwap} {
+		_, err := comp.CompileContext(context.Background(), pairWorkload(), s)
+		if err == nil || !strings.Contains(err.Error(), "partition panicked") {
+			t.Fatalf("%s: err = %v, want the partition panic", s, err)
 		}
 	}
 }

@@ -196,10 +196,11 @@ func (c *Compiler) Compile(progs []*circuit.Circuit, strat Strategy) (*Result, e
 // compilation with the context's error. With an uncancelled context the
 // result is identical to Compile.
 //
-// A panic inside one attempt (partitioner or router invariant
-// violation) fails only that attempt; the best of the surviving
-// attempts still wins. The compilation as a whole errors only when
-// every attempt failed.
+// A panic inside one attempt (router invariant violation) fails only
+// that attempt; the best of the surviving attempts still wins. The
+// CDAP partition is seed-independent and shared by all attempts, so a
+// partitioner error or panic fails the compilation; otherwise it
+// errors only when every attempt failed.
 func (c *Compiler) CompileContext(ctx context.Context, progs []*circuit.Circuit, strat Strategy) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -218,6 +219,15 @@ func (c *Compiler) CompileContext(ctx context.Context, progs []*circuit.Circuit,
 	if attempts <= 0 {
 		attempts = 1
 	}
+	// CDAP does not depend on the attempt seed: partition once and hand
+	// the result to every attempt read-only.
+	parts, err := c.partitionSafe(progs, strat)
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, fmt.Errorf("qucloud: %s compilation canceled: %w", strat, ctxErr)
+		}
+		return nil, fmt.Errorf("qucloud: %s compilation failed: %w", strat, err)
+	}
 	// Attempts are independent (seeded per index), so they fan out over
 	// the worker pool; each records its outcome at its own index and
 	// the winner is picked by a seed-order scan afterwards, replicating
@@ -225,7 +235,7 @@ func (c *Compiler) CompileContext(ctx context.Context, progs []*circuit.Circuit,
 	results := make([]*Result, attempts)
 	errs := make([]error, attempts)
 	_ = pool.ForEach(ctx, attempts, c.Workers, func(i int) error {
-		results[i], errs[i] = c.compileAttempt(ctx, progs, strat, int64(i)+1)
+		results[i], errs[i] = c.compileAttempt(ctx, progs, strat, parts, int64(i)+1)
 		return nil
 	})
 	var best *Result
@@ -250,23 +260,55 @@ func (c *Compiler) CompileContext(ctx context.Context, progs []*circuit.Circuit,
 	return best, nil
 }
 
+// partitionSafe runs the seed-independent CDAP step of a strategy
+// once per compilation, behind a recover so a partitioner panic becomes
+// the compilation's error. CDAPOnly and CDAPXSwap get one partition of
+// the whole workload; Separate gets one single-program partition per
+// program, in program order; the other strategies partition nothing.
+func (c *Compiler) partitionSafe(progs []*circuit.Circuit, strat Strategy) (parts []*partition.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			parts, err = nil, fmt.Errorf("qucloud: partition panicked: %v", r)
+		}
+	}()
+	switch strat {
+	case CDAPOnly, CDAPXSwap:
+		res, err := partition.CDAP(c.Device, c.Tree(), progs)
+		if err != nil {
+			return nil, err
+		}
+		return []*partition.Result{res}, nil
+	case Separate:
+		parts = make([]*partition.Result, len(progs))
+		for i, p := range progs {
+			if parts[i], err = partition.CDAP(c.Device, c.Tree(), []*circuit.Circuit{p}); err != nil {
+				return nil, err
+			}
+		}
+		return parts, nil
+	}
+	return nil, nil
+}
+
 // compileAttempt is compileOnce behind a recover: a panic in the
-// partitioner/router pipeline becomes this attempt's error instead of
-// unwinding the caller (or, under parallel attempts, killing the
-// process from a pool goroutine).
-func (c *Compiler) compileAttempt(ctx context.Context, progs []*circuit.Circuit, strat Strategy, seed int64) (res *Result, err error) {
+// router pipeline becomes this attempt's error instead of unwinding the
+// caller (or, under parallel attempts, killing the process from a pool
+// goroutine).
+func (c *Compiler) compileAttempt(ctx context.Context, progs []*circuit.Circuit, strat Strategy, parts []*partition.Result, seed int64) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("qucloud: attempt %d panicked: %v", seed, r)
 		}
 	}()
-	return c.compileOnce(ctx, progs, strat, seed)
+	return c.compileOnce(ctx, progs, strat, parts, seed)
 }
 
-func (c *Compiler) compileOnce(ctx context.Context, progs []*circuit.Circuit, strat Strategy, seed int64) (*Result, error) {
+// compileOnce runs one seeded attempt; parts is partitionSafe's output
+// for strat, shared read-only by every attempt.
+func (c *Compiler) compileOnce(ctx context.Context, progs []*circuit.Circuit, strat Strategy, parts []*partition.Result, seed int64) (*Result, error) {
 	switch strat {
 	case Separate:
-		return c.compileSeparate(ctx, progs, seed)
+		return c.compileSeparate(ctx, progs, parts, seed)
 	case SABRE:
 		return c.compileMergedSABRE(progs, seed, false)
 	case XSwapOnly:
@@ -282,36 +324,28 @@ func (c *Compiler) compileOnce(ctx context.Context, progs []*circuit.Circuit, st
 		opts.Seed = seed
 		return c.routeJoint(progs, res, opts, Baseline)
 	case CDAPOnly:
-		res, err := partition.CDAP(c.Device, c.Tree(), progs)
-		if err != nil {
-			return nil, err
-		}
 		// Same noise-aware transition as the baseline, so the ablation
 		// isolates the initial-mapping contribution.
 		opts := router.DefaultOptions()
 		opts.NoisePenalty = c.NoisePenalty
 		opts.UseBridge = c.Bridge
 		opts.Seed = seed
-		return c.routeJoint(progs, res, opts, CDAPOnly)
+		return c.routeJoint(progs, parts[0], opts, CDAPOnly)
 	case CDAPXSwap:
-		res, err := partition.CDAP(c.Device, c.Tree(), progs)
-		if err != nil {
-			return nil, err
-		}
 		opts := router.XSWAPOptions()
 		opts.NoisePenalty = c.NoisePenalty
 		opts.UseBridge = c.Bridge
 		opts.Seed = seed
-		return c.routeJoint(progs, res, opts, CDAPXSwap)
+		return c.routeJoint(progs, parts[0], opts, CDAPXSwap)
 	}
 	return nil, fmt.Errorf("qucloud: unknown strategy %v", strat)
 }
 
 // compileSeparate compiles each program alone: CDAP's single-program
-// allocation (most reliable region) plus noise-aware routing. Programs
-// are independent, so they compile in parallel into indexed slots; the
-// totals are assembled in program order afterwards.
-func (c *Compiler) compileSeparate(ctx context.Context, progs []*circuit.Circuit, seed int64) (*Result, error) {
+// allocation (most reliable region, parts[i]) plus noise-aware routing.
+// Programs are independent, so they compile in parallel into indexed
+// slots; the totals are assembled in program order afterwards.
+func (c *Compiler) compileSeparate(ctx context.Context, progs []*circuit.Circuit, parts []*partition.Result, seed int64) (*Result, error) {
 	type sepUnit struct {
 		sched   *router.Schedule
 		mapping []int
@@ -319,15 +353,11 @@ func (c *Compiler) compileSeparate(ctx context.Context, progs []*circuit.Circuit
 	units := make([]sepUnit, len(progs))
 	if err := pool.ForEach(ctx, len(progs), c.Workers, func(i int) error {
 		p := progs[i]
-		res, err := partition.CDAP(c.Device, c.Tree(), []*circuit.Circuit{p})
-		if err != nil {
-			return err
-		}
 		opts := router.DefaultOptions()
 		opts.NoisePenalty = c.NoisePenalty
 		opts.UseBridge = c.Bridge
 		opts.Seed = seed
-		mapping, err := router.ReverseTraversal(c.Device, p, res.Assignments[0].InitialMapping, c.Traversals, opts)
+		mapping, err := router.ReverseTraversal(c.Device, p, parts[i].Assignments[0].InitialMapping, c.Traversals, opts)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -42,8 +43,12 @@ func (e Edge) Other(x int) int {
 // Graph is an undirected graph with optional per-edge weights.
 // The zero value is not usable; create instances with New.
 type Graph struct {
-	n      int
-	adj    [][]int
+	n   int
+	adj [][]int
+	// up[u] holds u's neighbors greater than u in ascending order, so
+	// walking it in vertex order visits edges in the (U, V) order of
+	// Edges().
+	up     [][]int
 	weight map[Edge]float64
 }
 
@@ -55,6 +60,7 @@ func New(n int) *Graph {
 	return &Graph{
 		n:      n,
 		adj:    make([][]int, n),
+		up:     make([][]int, n),
 		weight: make(map[Edge]float64),
 	}
 }
@@ -84,6 +90,12 @@ func (g *Graph) AddWeightedEdge(u, v int, w float64) {
 	if _, ok := g.weight[e]; !ok {
 		g.adj[u] = append(g.adj[u], v)
 		g.adj[v] = append(g.adj[v], u)
+		up := g.up[e.U]
+		i := sort.SearchInts(up, e.V)
+		up = append(up, 0)
+		copy(up[i+1:], up[i:])
+		up[i] = e.V
+		g.up[e.U] = up
 	}
 	g.weight[e] = w
 }
@@ -362,17 +374,39 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// InducedEdges returns the edges of the subgraph induced by verts.
+// InducedEdges returns the edges of the subgraph induced by verts, in
+// the (U, V) order of Edges(). Duplicate vertices count once; a vertex
+// out of range panics.
 func (g *Graph) InducedEdges(verts []int) []Edge {
-	in := make(map[int]bool, len(verts))
-	for _, v := range verts {
-		in[v] = true
-	}
 	var out []Edge
-	for _, e := range g.Edges() {
-		if in[e.U] && in[e.V] {
-			out = append(out, e)
+	g.EachInducedEdge(verts, func(e Edge) { out = append(out, e) })
+	return out
+}
+
+// EachInducedEdge calls fn for every edge of the subgraph induced by
+// verts, in the order InducedEdges returns them. It walks the sorted
+// adjacency lists over a vertex bitmask instead of filtering Edges(),
+// and allocates nothing on graphs of up to 256 vertices, so per-region
+// estimates (EPST) stay cheap.
+func (g *Graph) EachInducedEdge(verts []int, fn func(Edge)) {
+	var small [4]uint64
+	mask := small[:]
+	if words := (g.n + 63) / 64; words > len(small) {
+		mask = make([]uint64, words)
+	}
+	for _, v := range verts {
+		g.checkVertex(v)
+		mask[v>>6] |= 1 << (v & 63)
+	}
+	for w, word := range mask {
+		for word != 0 {
+			u := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			for _, v := range g.up[u] {
+				if mask[v>>6]&(1<<(v&63)) != 0 {
+					fn(Edge{U: u, V: v})
+				}
+			}
 		}
 	}
-	return out
 }

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -234,6 +237,72 @@ func TestInducedEdges(t *testing.T) {
 	want := []Edge{{1, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("induced = %v, want %v", got, want)
+	}
+}
+
+// filterInduced is the reference InducedEdges: every edge of Edges()
+// whose endpoints both lie in verts, in Edges() order.
+func filterInduced(g *Graph, verts []int) []Edge {
+	in := map[int]bool{}
+	for _, v := range verts {
+		in[v] = true
+	}
+	var out []Edge
+	for _, e := range g.Edges() {
+		if in[e.U] && in[e.V] {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestInducedEdgesMatchesEdgesFilter: the adjacency walk must return
+// exactly the filtered Edges() list, content and order, on random
+// graphs (including ones past the 256-vertex stack mask, with edges
+// inserted in random order and re-added with new weights) for unsorted
+// vertex lists with duplicates.
+func TestInducedEdgesMatchesEdgesFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%25 == 0 {
+			n = 257 + rng.Intn(100)
+		}
+		g := New(n)
+		for k := rng.Intn(3 * n); k > 0; k-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v {
+				g.AddWeightedEdge(u, v, rng.Float64())
+			}
+		}
+		for q := 0; q < 5; q++ {
+			verts := make([]int, rng.Intn(n+3))
+			for i := range verts {
+				verts[i] = rng.Intn(n)
+			}
+			got, want := g.InducedEdges(verts), filterInduced(g, verts)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d verts=%v: InducedEdges = %v, want %v", n, verts, got, want)
+			}
+		}
+		if all, es := g.InducedEdges(rng.Perm(n)), g.Edges(); len(es) > 0 && !reflect.DeepEqual(all, es) {
+			t.Fatalf("n=%d: induced on every vertex = %v, want Edges() %v", n, all, es)
+		}
+	}
+}
+
+// TestInducedEdgesOutOfRangePanics: like SubsetConnected, an
+// out-of-range vertex panics through checkVertex.
+func TestInducedEdgesOutOfRangePanics(t *testing.T) {
+	for _, v := range []int{-1, 5, 300} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "out of range [0,5)") {
+					t.Fatalf("InducedEdges with vertex %d: panic %v, want checkVertex's", v, r)
+				}
+			}()
+			ladder(5).InducedEdges([]int{0, v})
+		}()
 	}
 }
 

@@ -172,11 +172,10 @@ func Run(d *arch.Device, jobs []sched.Job, cfg Config, seed int64) (*Result, err
 		if d.NumQubits() > 20 {
 			scfg.Omega = 0.40
 		}
-		batches, err := sched.Schedule(d, queue, scfg)
+		batch, err := sched.Next(d, queue, scfg)
 		if err != nil {
 			return nil, fmt.Errorf("quos: %w", err)
 		}
-		batch := batches[0]
 		byID := map[int]*circuit.Circuit{}
 		for _, j := range queue {
 			byID[j.ID] = j.Circ

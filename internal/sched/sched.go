@@ -7,9 +7,7 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/arch"
@@ -54,35 +52,6 @@ func DefaultConfig() Config {
 	return Config{Epsilon: 0.15, Lookahead: 10, MaxColocate: 3, Omega: 0.95}
 }
 
-// EPST computes Equation 4 for a program allocated to the given
-// physical-qubit region: r2q^|CNOTs| * r1q^|1q| * rro^|qubits| where the
-// r's are the mean reliabilities over the region's links and qubits.
-func EPST(d *arch.Device, p *circuit.Circuit, region []int) float64 {
-	if len(region) == 0 {
-		return 0
-	}
-	var r2q float64
-	edges := d.Coupling.InducedEdges(region)
-	if len(edges) > 0 {
-		for _, e := range edges {
-			r2q += 1 - d.CNOTErr[e]
-		}
-		r2q /= float64(len(edges))
-	} else {
-		r2q = 1 // single-qubit region: no CNOTs possible anyway
-	}
-	var r1q, rro float64
-	for _, q := range region {
-		r1q += 1 - d.Gate1Err[q]
-		rro += 1 - d.ReadoutErr[q]
-	}
-	r1q /= float64(len(region))
-	rro /= float64(len(region))
-	return math.Pow(r2q, float64(p.RawCNOTCount())) *
-		math.Pow(r1q, float64(p.Gate1Count())) *
-		math.Pow(rro, float64(p.NumQubits))
-}
-
 // SeparateEPST is a program's best-case EPST: the EPST on the region
 // CDAP allocates when the program runs alone.
 func SeparateEPST(d *arch.Device, tree *community.Tree, p *circuit.Circuit) (float64, error) {
@@ -90,7 +59,7 @@ func SeparateEPST(d *arch.Device, tree *community.Tree, p *circuit.Circuit) (flo
 	if err != nil {
 		return 0, err
 	}
-	return EPST(d, p, res.Assignments[0].Region), nil
+	return d.EPST(res.Assignments[0].Region, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits), nil
 }
 
 // ColocatedEPST partitions the chip among all programs with CDAP and
@@ -107,18 +76,16 @@ func ColocatedEPST(d *arch.Device, tree *community.Tree, progs []*circuit.Circui
 	}
 	out := make([]float64, len(progs))
 	for i, a := range res.Assignments {
+		var busy []graph.Edge
 		if d.HasCrosstalk() {
-			var busy []graph.Edge
 			for j, b := range res.Assignments {
 				if j != i {
 					busy = append(busy, d.Coupling.InducedEdges(b.Region)...)
 				}
 			}
-			p := progs[i]
-			out[i] = d.EPSTUnder(a.Region, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, busy)
-			continue
 		}
-		out[i] = EPST(d, progs[i], a.Region)
+		p := progs[i]
+		out[i] = d.EPSTUnder(a.Region, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits, busy)
 	}
 	return out, nil
 }
@@ -132,48 +99,19 @@ func ColocatedEPST(d *arch.Device, tree *community.Tree, progs []*circuit.Circui
 // from concurrent goroutines as long as each call uses its own queue
 // slice; the device and circuits are only read.
 func Schedule(d *arch.Device, jobs []Job, cfg Config) ([]Batch, error) {
-	if cfg.Lookahead <= 0 {
-		cfg.Lookahead = 10
-	}
-	if cfg.MaxColocate <= 0 {
-		cfg.MaxColocate = 2
-	}
-	tree := community.BuildCached(d, cfg.Omega)
-	sepCache := map[int]float64{}
-	sepEPST := func(j Job) (float64, error) {
-		if v, ok := sepCache[j.ID]; ok {
-			return v, nil
-		}
-		v, err := SeparateEPST(d, tree, j.Circ)
-		if err != nil {
-			return 0, fmt.Errorf("sched: job %d cannot run even alone: %w", j.ID, err)
-		}
-		sepCache[j.ID] = v
-		return v, nil
-	}
-
+	s := newScheduler(d, cfg)
 	queue := append([]Job(nil), jobs...)
 	var batches []Batch
 	for len(queue) > 0 {
-		cur := []Job{queue[0]}
-		if _, err := sepEPST(queue[0]); err != nil {
+		b, err := s.next(queue)
+		if err != nil {
 			return nil, err
 		}
-		idx := 1
-		for idx < len(queue) && idx < cfg.Lookahead && len(cur) < cfg.MaxColocate {
-			trial := append(append([]Job(nil), cur...), queue[idx])
-			if violationOK(d, tree, trial, sepEPST, cfg.Epsilon) {
-				cur = trial
-			}
-			idx++
+		batches = append(batches, b)
+		inBatch := make(map[int]bool, len(b.JobIDs))
+		for _, id := range b.JobIDs {
+			inBatch[id] = true
 		}
-		ids := make([]int, len(cur))
-		inBatch := map[int]bool{}
-		for i, j := range cur {
-			ids[i] = j.ID
-			inBatch[j.ID] = true
-		}
-		batches = append(batches, Batch{JobIDs: ids})
 		var rest []Job
 		for _, j := range queue {
 			if !inBatch[j.ID] {
@@ -185,26 +123,89 @@ func Schedule(d *arch.Device, jobs []Job, cfg Config) ([]Batch, error) {
 	return batches, nil
 }
 
+// Next returns the batch Algorithm 4 forms around the head of the
+// queue: whenever Schedule succeeds, Next equals its first batch, but
+// it estimates nothing for the batches after it. A serving loop that
+// claims one batch at a time calls Next instead of Schedule. It errors
+// only when the head job cannot run even alone; an empty queue yields
+// an empty batch.
+func Next(d *arch.Device, jobs []Job, cfg Config) (Batch, error) {
+	if len(jobs) == 0 {
+		return Batch{}, nil
+	}
+	return newScheduler(d, cfg).next(jobs)
+}
+
+// scheduler is one Algorithm 4 pass: the device, its hierarchy tree,
+// the normalized config, and the separate-EPST estimates memoized by
+// job ID across every batch the pass forms.
+type scheduler struct {
+	d        *arch.Device
+	tree     *community.Tree
+	cfg      Config
+	sepCache map[int]float64
+}
+
+func newScheduler(d *arch.Device, cfg Config) *scheduler {
+	if cfg.Lookahead <= 0 {
+		cfg.Lookahead = 10
+	}
+	if cfg.MaxColocate <= 0 {
+		cfg.MaxColocate = 2
+	}
+	return &scheduler{d: d, tree: community.BuildCached(d, cfg.Omega), cfg: cfg, sepCache: map[int]float64{}}
+}
+
+func (s *scheduler) sepEPST(j Job) (float64, error) {
+	if v, ok := s.sepCache[j.ID]; ok {
+		return v, nil
+	}
+	v, err := SeparateEPST(s.d, s.tree, j.Circ)
+	if err != nil {
+		return 0, fmt.Errorf("sched: job %d cannot run even alone: %w", j.ID, err)
+	}
+	s.sepCache[j.ID] = v
+	return v, nil
+}
+
+// next forms the batch headed by queue[0]: each later job within the
+// lookahead window joins, in queue order, while the batch stays below
+// MaxColocate and every member keeps its EPST violation within Epsilon.
+func (s *scheduler) next(queue []Job) (Batch, error) {
+	cur := []Job{queue[0]}
+	if _, err := s.sepEPST(queue[0]); err != nil {
+		return Batch{}, err
+	}
+	for idx := 1; idx < len(queue) && idx < s.cfg.Lookahead && len(cur) < s.cfg.MaxColocate; idx++ {
+		trial := append(append([]Job(nil), cur...), queue[idx])
+		if s.violationOK(trial) {
+			cur = trial
+		}
+	}
+	ids := make([]int, len(cur))
+	for i, j := range cur {
+		ids[i] = j.ID
+	}
+	return Batch{JobIDs: ids}, nil
+}
+
 // violationOK reports whether every job in the trial batch keeps its
 // EPST violation within epsilon.
-func violationOK(d *arch.Device, tree *community.Tree, trial []Job, sepEPST func(Job) (float64, error), epsilon float64) bool {
+func (s *scheduler) violationOK(trial []Job) bool {
 	progs := make([]*circuit.Circuit, len(trial))
 	for i, j := range trial {
 		progs[i] = j.Circ
 	}
-	co, err := ColocatedEPST(d, tree, progs)
+	co, err := ColocatedEPST(s.d, s.tree, progs)
 	if err != nil {
-		if errors.Is(err, partition.ErrNoRegion) {
-			return false
-		}
 		return false
 	}
 	for i, j := range trial {
-		sep, err := sepEPST(j)
+		sep, err := s.sepEPST(j)
 		if err != nil || fp.Zero(sep) {
 			return false
 		}
-		if violation := 1 - co[i]/sep; violation > epsilon {
+		if violation := 1 - co[i]/sep; violation > s.cfg.Epsilon {
 			return false
 		}
 	}

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -30,14 +32,15 @@ func TestEPSTFormula(t *testing.T) {
 	// r2q = 0.9, r1q = 0.95, rro = 0.85; EPST = 0.9^2 * 0.95 * 0.85^3
 	// (the worked example from §IV-C).
 	want := math.Pow(0.9, 2) * 0.95 * math.Pow(0.85, 3)
-	if got := EPST(d, p, []int{0, 1, 2}); math.Abs(got-want) > 1e-12 {
+	if got := d.EPST([]int{0, 1, 2}, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("EPST = %v, want %v", got, want)
 	}
 }
 
 func TestEPSTEmptyRegion(t *testing.T) {
 	d := arch.Linear(3, 0.1, 0.1)
-	if EPST(d, circuit.New("p", 1), nil) != 0 {
+	p := circuit.New("p", 1)
+	if d.EPST(nil, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits) != 0 {
 		t.Fatal("empty region EPST must be 0")
 	}
 }
@@ -46,7 +49,7 @@ func TestEPSTSingleQubitRegion(t *testing.T) {
 	d := arch.Linear(3, 0.1, 0.1)
 	p := circuit.New("p", 1)
 	p.H(0).Measure(0)
-	got := EPST(d, p, []int{1})
+	got := d.EPST([]int{1}, p.RawCNOTCount(), p.Gate1Count(), p.NumQubits)
 	want := (1 - d.Gate1Err[1]) * 0.9
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("EPST = %v, want %v", got, want)
@@ -221,6 +224,61 @@ func TestScheduleRejectsImpossibleJob(t *testing.T) {
 	big.CX(0, 1)
 	if _, err := Schedule(d, []Job{{ID: 0, Circ: big}}, DefaultConfig()); err == nil {
 		t.Fatal("job larger than the chip must error")
+	}
+}
+
+// TestNextMatchesScheduleHead: Next is the head step of Schedule, so
+// over seeded random queues (crosstalk-blind and with a pairwise
+// crosstalk matrix, across epsilons, lookaheads and batch bounds) it
+// must return exactly Schedule's first batch.
+func TestNextMatchesScheduleHead(t *testing.T) {
+	names := append(nisqbench.ByClass(nisqbench.Tiny), nisqbench.ByClass(nisqbench.Small)...)
+	xtalk := arch.IBMQ16(3)
+	xtalk.Crosstalk = arch.GenerateHostileCrosstalk(xtalk, 4, 0.5, 8, 12)
+	if err := xtalk.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	colocated := 0
+	for trial := 0; trial < 24; trial++ {
+		d := arch.IBMQ16(int64(trial % 3))
+		if trial%2 == 1 {
+			d = xtalk
+		}
+		jobs := make([]Job, 2+rng.Intn(9))
+		for i := range jobs {
+			// Distinct IDs in random order.
+			jobs[i] = Job{ID: rng.Intn(1000)*16 + i, Circ: nisqbench.MustGet(names[rng.Intn(len(names))])}
+		}
+		cfg := DefaultConfig()
+		cfg.Epsilon = []float64{0, 0.05, 0.15, 0.4}[rng.Intn(4)]
+		cfg.Lookahead = rng.Intn(12)
+		cfg.MaxColocate = rng.Intn(4)
+		batches, err := Schedule(d, jobs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := Next(d, jobs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(next, batches[0]) {
+			t.Fatalf("trial %d (%s, cfg %+v): Next = %v, Schedule[0] = %v", trial, d.Name, cfg, next, batches[0])
+		}
+		if len(next.JobIDs) > 1 {
+			colocated++
+		}
+	}
+	if colocated < 5 {
+		t.Fatalf("only %d of 24 head batches co-located; the queues do not exercise the epsilon test", colocated)
+	}
+	if b, err := Next(xtalk, nil, DefaultConfig()); err != nil || len(b.JobIDs) != 0 {
+		t.Fatalf("empty queue: Next = %v, %v; want an empty batch", b, err)
+	}
+	big := circuit.New("big", 17)
+	big.CX(0, 1)
+	if _, err := Next(xtalk, []Job{{ID: 0, Circ: big}}, DefaultConfig()); err == nil {
+		t.Fatal("head job larger than the chip must error")
 	}
 }
 
